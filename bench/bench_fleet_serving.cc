@@ -22,6 +22,7 @@
 // duration-stable); FOCUS_BENCH_SEED varies the world.
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -108,7 +109,8 @@ int main() {
     FocusFleet fleet;
     FocusOptions options;
     // Deterministic fill: cycle (profile, seed) combos, skipping the rare
-    // short-sample combos the tuner rejects, until the fleet is full.
+    // combos whose tuning sample holds no detections (they would index with
+    // the quiet-camera fallback and answer nothing), until the fleet is full.
     int added = 0;
     for (int attempt = 0; added < size.cameras && attempt < 4 * size.cameras; ++attempt) {
       focus::video::StreamProfile profile;
@@ -116,10 +118,14 @@ int main() {
         std::fprintf(stderr, "missing stream profile\n");
         return 1;
       }
-      if (fleet
-              .AddCamera("cam" + std::to_string(added), &catalog, profile,
-                         size.duration_sec, config.fps,
-                         config.stream_seed_base + static_cast<uint64_t>(attempt), options)
+      auto run = std::make_unique<focus::video::StreamRun>(
+          &catalog, profile, size.duration_sec, config.fps,
+          config.stream_seed_base + static_cast<uint64_t>(attempt));
+      auto stream = focus::core::FocusStream::Build(run.get(), &catalog, options);
+      if (!stream.ok() || !(*stream)->tuning().fallback.empty()) {
+        continue;
+      }
+      if (fleet.AdoptCamera("cam" + std::to_string(added), std::move(run), std::move(*stream))
               .ok()) {
         ++added;
       }

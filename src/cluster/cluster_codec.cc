@@ -2,29 +2,6 @@
 
 namespace focus::cluster {
 
-void EncodeFeatureVec(storage::Encoder& enc, const common::FeatureVec& v) {
-  enc.PutVarint(v.size());
-  for (float x : v) {
-    enc.PutFloat(x);
-  }
-}
-
-bool DecodeFeatureVec(storage::Decoder& dec, common::FeatureVec* v) {
-  uint64_t n = 0;
-  // Divide instead of multiplying: n * sizeof(float) can wrap for a corrupt
-  // length, and the guard exists precisely to reject those before resize.
-  if (!dec.GetVarint(&n) || n > dec.remaining() / sizeof(float)) {
-    return false;
-  }
-  v->resize(static_cast<size_t>(n));
-  for (float& x : *v) {
-    if (!dec.GetFloat(&x)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void EncodeDetection(storage::Encoder& enc, const video::Detection& d) {
   enc.PutSignedVarint(d.frame);
   enc.PutSignedVarint(d.object_id);
@@ -35,7 +12,7 @@ void EncodeDetection(storage::Encoder& enc, const video::Detection& d) {
   enc.PutU8(d.pixel_diff_suppressed ? 1 : 0);
   enc.PutU8(d.first_observation ? 1 : 0);
   enc.PutSignedVarint(d.true_class);
-  EncodeFeatureVec(enc, d.appearance);
+  enc.PutFloatVec(d.appearance);
 }
 
 bool DecodeDetection(storage::Decoder& dec, video::Detection* d) {
@@ -47,7 +24,7 @@ bool DecodeDetection(storage::Decoder& dec, video::Detection* d) {
   if (!dec.GetSignedVarint(&frame) || !dec.GetSignedVarint(&object) ||
       !dec.GetFloat(&d->bbox.x) || !dec.GetFloat(&d->bbox.y) || !dec.GetFloat(&d->bbox.w) ||
       !dec.GetFloat(&d->bbox.h) || !dec.GetU8(&suppressed) || !dec.GetU8(&first) ||
-      !dec.GetSignedVarint(&true_class) || !DecodeFeatureVec(dec, &d->appearance)) {
+      !dec.GetSignedVarint(&true_class) || !dec.GetFloatVec(&d->appearance)) {
     return false;
   }
   d->frame = frame;

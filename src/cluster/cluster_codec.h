@@ -1,18 +1,15 @@
 // Binary (de)serialization of the cluster-side value types, shared by the
 // clusterer checkpoint metadata (incremental_clusterer, sharded_clusterer).
 // Built on the storage/serializer primitives so the byte layout follows the
-// same little-endian + varint conventions as every other on-disk format.
+// same little-endian + varint conventions as every other on-disk format
+// (feature vectors are Encoder::PutFloatVec / Decoder::GetFloatVec).
 #ifndef FOCUS_SRC_CLUSTER_CLUSTER_CODEC_H_
 #define FOCUS_SRC_CLUSTER_CLUSTER_CODEC_H_
 
-#include "src/common/feature_vector.h"
 #include "src/storage/serializer.h"
 #include "src/video/detection.h"
 
 namespace focus::cluster {
-
-void EncodeFeatureVec(storage::Encoder& enc, const common::FeatureVec& v);
-bool DecodeFeatureVec(storage::Decoder& dec, common::FeatureVec* v);
 
 void EncodeDetection(storage::Encoder& enc, const video::Detection& d);
 bool DecodeDetection(storage::Decoder& dec, video::Detection* d);

@@ -44,6 +44,21 @@ void AppendMember(Cluster& cluster, const video::Detection& detection) {
   cluster.members.push_back(run);
 }
 
+void EncodeClusterRecord(storage::Encoder& enc, const Cluster& c) {
+  enc.PutU8(c.active ? 1 : 0);
+  enc.PutSignedVarint(c.size);
+  EncodeDetection(enc, c.representative);
+  enc.PutVarint(c.members.size());
+  for (const MemberRun& run : c.members) {
+    enc.PutSignedVarint(run.object);
+    enc.PutSignedVarint(run.first_frame);
+    enc.PutSignedVarint(run.last_frame);
+  }
+  if (!c.active) {
+    enc.PutFloatVec(c.centroid);
+  }
+}
+
 }  // namespace
 
 IncrementalClusterer::IncrementalClusterer(ClustererOptions options) : options_(options) {
@@ -67,6 +82,14 @@ void IncrementalClusterer::Reset(ClustererOptions options) {
   total_assignments_ = 0;
   fast_hits_ = 0;
   fast_lookups_ = 0;
+  DropBookkeepingCache();
+}
+
+void IncrementalClusterer::DropBookkeepingCache() {
+  bookkeeping_cache_.clear();
+  record_end_.clear();
+  records_begin_ = 0;
+  record_changed_.clear();
 }
 
 double IncrementalClusterer::FastHitRate() const {
@@ -106,6 +129,7 @@ void IncrementalClusterer::Join(Cluster& cluster, const video::Detection& detect
   }
   ++cluster.size;
   AppendMember(cluster, detection);
+  MarkChanged(cluster.id);
   store_.Update(cluster.id, cluster.centroid.data());
   store_.SetSize(cluster.id, cluster.size);
 }
@@ -129,6 +153,7 @@ void IncrementalClusterer::RetireSmallest() {
       continue;
     }
     c.active = false;
+    MarkChanged(id);
     store_.Remove(id);
     if (retired_targets_) {
       // Freeze the centroid as a merge target: a duplicate appearance in
@@ -227,8 +252,9 @@ int64_t IncrementalClusterer::Add(const video::Detection& detection,
   return id;
 }
 
-std::string IncrementalClusterer::EncodeBookkeeping() const {
-  storage::Encoder enc;
+void IncrementalClusterer::EncodeBookkeepingTo(storage::Encoder& enc, bool reuse,
+                                               std::vector<size_t>* record_end,
+                                               size_t* records_begin) const {
   // Options echo, validated on restore: recovering under different clustering
   // parameters would silently change semantics mid-stream.
   enc.PutDouble(options_.threshold);
@@ -241,19 +267,31 @@ std::string IncrementalClusterer::EncodeBookkeeping() const {
   // arena, so only retired clusters carry their centroid here (needed by the
   // sharded finalize, which folds centroids of clusters retired after a merge).
   enc.PutVarint(clusters_.size());
-  for (const Cluster& c : clusters_) {
-    enc.PutU8(c.active ? 1 : 0);
-    enc.PutSignedVarint(c.size);
-    EncodeDetection(enc, c.representative);
-    enc.PutVarint(c.members.size());
-    for (const MemberRun& run : c.members) {
-      enc.PutSignedVarint(run.object);
-      enc.PutSignedVarint(run.first_frame);
-      enc.PutSignedVarint(run.last_frame);
+  *records_begin = enc.size();
+  record_end->clear();
+  record_end->reserve(clusters_.size());
+  const size_t cached = reuse ? record_end_.size() : 0;
+  size_t i = 0;
+  while (i < clusters_.size()) {
+    if (i >= cached || record_changed_[i] != 0) {
+      EncodeClusterRecord(enc, clusters_[i]);
+      record_end->push_back(enc.size());
+      ++i;
+      continue;
     }
-    if (!c.active) {
-      EncodeFeatureVec(enc, c.centroid);
+    // A run of unchanged records is one contiguous byte range of the cached
+    // blob: splice it in with a single copy and shift its offsets.
+    size_t j = i + 1;
+    while (j < cached && record_changed_[j] == 0) {
+      ++j;
     }
+    const size_t from = i == 0 ? records_begin_ : record_end_[i - 1];
+    const size_t shift = enc.size() - from;
+    enc.PutBytes(std::string_view(bookkeeping_cache_).substr(from, record_end_[j - 1] - from));
+    for (size_t r = i; r < j; ++r) {
+      record_end->push_back(record_end_[r] + shift);
+    }
+    i = j;
   }
 
   enc.PutVarint(last_cluster_of_object_.size());
@@ -268,6 +306,26 @@ std::string IncrementalClusterer::EncodeBookkeeping() const {
   enc.PutSignedVarint(total_assignments_);
   enc.PutSignedVarint(fast_hits_);
   enc.PutSignedVarint(fast_lookups_);
+}
+
+const std::string& IncrementalClusterer::CheckpointBookkeeping() {
+  storage::Encoder enc;
+  enc.Reserve(bookkeeping_cache_.size() + bookkeeping_cache_.size() / 8);
+  std::vector<size_t> record_end;
+  size_t records_begin = 0;
+  EncodeBookkeepingTo(enc, /*reuse=*/true, &record_end, &records_begin);
+  bookkeeping_cache_ = enc.TakeBytes();
+  record_end_ = std::move(record_end);
+  records_begin_ = records_begin;
+  record_changed_.assign(clusters_.size(), 0);
+  return bookkeeping_cache_;
+}
+
+std::string IncrementalClusterer::EncodeBookkeeping() const {
+  storage::Encoder enc;
+  std::vector<size_t> record_end;
+  size_t records_begin = 0;
+  EncodeBookkeepingTo(enc, /*reuse=*/false, &record_end, &records_begin);
   return enc.TakeBytes();
 }
 
@@ -325,7 +383,7 @@ common::Result<bool> IncrementalClusterer::DecodeBookkeeping(std::string_view bo
         return corrupt();
       }
       c.centroid.assign(row, row + store_.dim());
-    } else if (!DecodeFeatureVec(dec, &c.centroid)) {
+    } else if (!dec.GetFloatVec(&c.centroid)) {
       return corrupt();
     }
     clusters_.push_back(std::move(c));
@@ -414,6 +472,7 @@ common::Result<bool> IncrementalClusterer::RestorePersistent(
     std::unique_ptr<storage::ArenaFile> arena, const std::string& undo_path,
     std::string_view bookkeeping) {
   FOCUS_CHECK(clusters_.empty() && store_.empty() && arena_file_ == nullptr);
+  DropBookkeepingCache();  // Recovery starts the record reuse cold.
   // Append mode: the old window's records stay until the caller's re-seal
   // checkpoint rotates the log; no mutation happens in between.
   auto writer = storage::RecordLogWriter::Open(undo_path, /*truncate=*/false, options_.undo_fsync);
@@ -540,12 +599,14 @@ common::Result<bool> IncrementalClusterer::Checkpoint(int64_t position,
   if (!generation.ok()) {
     return generation.error();
   }
+  const std::string& bookkeeping = CheckpointBookkeeping();
   storage::Encoder enc;
+  enc.Reserve(bookkeeping.size() + user_state.size() + 64);
   enc.PutU32(kMetaVersion);
   enc.PutU64(*generation);
   enc.PutSignedVarint(position);
   enc.PutString(user_state);
-  enc.PutString(EncodeBookkeeping());
+  enc.PutString(bookkeeping);
   const uint32_t crc = storage::Crc32(enc.bytes());
   enc.PutU32(crc);
   // The atomic rename of the meta snapshot is the commit point of the whole
@@ -568,6 +629,7 @@ int64_t IncrementalClusterer::AddSuppressed(const video::Detection& detection,
       ++c.size;
       store_.SetSize(c.id, c.size);
       AppendMember(c, detection);
+      MarkChanged(c.id);
       return c.id;
     }
   }

@@ -43,6 +43,7 @@
 
 namespace focus::storage {
 class ArenaFile;
+class Encoder;
 class RecordLogWriter;
 }  // namespace focus::storage
 
@@ -136,10 +137,13 @@ class IncrementalClusterer {
 
   // Durably publishes the current state together with an opaque caller cursor
   // (e.g. the next frame index to ingest) and caller blob. The arena side is
-  // O(dirty working set) (msync + header); the bookkeeping snapshot re-encodes
-  // the full cluster table, so its cost grows with accumulated member runs —
-  // delta-encoding the bookkeeping through the existing RecordLogWriter is
-  // the recorded follow-up for multi-hour retention windows.
+  // O(dirty working set) (msync + header). The bookkeeping snapshot re-encodes
+  // only the cluster records changed since the previous checkpoint and splices
+  // the rest back from that checkpoint's bytes (CheckpointBookkeeping), so its
+  // encode cost follows the changed records; copying, CRC-ing and writing the
+  // meta still follow its size, at memory speed. A delta log through the
+  // existing RecordLogWriter, which would make the write O(changed) too, is the
+  // recorded follow-up for multi-hour retention windows.
   common::Result<bool> Checkpoint(int64_t position, std::string_view user_state = {});
 
   bool persistent() const { return arena_file_ != nullptr; }
@@ -164,6 +168,15 @@ class IncrementalClusterer {
   // Bookkeeping beyond the arena: cluster table (centroids only for retired
   // clusters — active ones live in the arena), member runs, fast-path maps,
   // counters, and an options echo validated on restore.
+  //
+  // Checkpoint step 2: encodes the bookkeeping, copying every cluster record
+  // not changed since the previous call (create, join, suppressed join and
+  // retire mark a record changed) from that call's output instead of
+  // re-encoding it. The returned bytes, valid until the next call, equal
+  // EncodeBookkeeping()'s. The reuse starts cold after Reset and recovery.
+  const std::string& CheckpointBookkeeping();
+  // The same bytes with every record encoded afresh; leaves the reuse state
+  // untouched (tests compare both).
   std::string EncodeBookkeeping() const;
 
   // Assigns |detection| (with ingest-CNN feature |feature|) to a cluster and returns
@@ -177,7 +190,6 @@ class IncrementalClusterer {
   int64_t AddSuppressed(const video::Detection& detection, const common::FeatureVec& feature);
 
   const std::vector<Cluster>& clusters() const { return clusters_; }
-  std::vector<Cluster>& mutable_clusters() { return clusters_; }
   size_t num_clusters() const { return clusters_.size(); }
   size_t num_active() const { return store_.size(); }
   int64_t total_assignments() const { return total_assignments_; }
@@ -219,6 +231,18 @@ class IncrementalClusterer {
   // exit at |bound|; > bound when the cluster is not active.
   float ActiveDistance(int64_t id, const common::FeatureVec& feature, float bound) const;
   common::Result<bool> DecodeBookkeeping(std::string_view bookkeeping);
+  // Shared body of CheckpointBookkeeping and EncodeBookkeeping: with |reuse|,
+  // clean records are copied from bookkeeping_cache_. Writes each record's end
+  // offset in the output to |record_end| and the first record's offset to
+  // |records_begin|.
+  void EncodeBookkeepingTo(storage::Encoder& enc, bool reuse, std::vector<size_t>* record_end,
+                           size_t* records_begin) const;
+  void MarkChanged(int64_t id) {
+    if (static_cast<size_t>(id) < record_changed_.size()) {
+      record_changed_[static_cast<size_t>(id)] = 1;
+    }
+  }
+  void DropBookkeepingCache();
 
   ClustererOptions options_;
   std::vector<Cluster> clusters_;
@@ -238,6 +262,15 @@ class IncrementalClusterer {
   int64_t total_assignments_ = 0;
   int64_t fast_hits_ = 0;
   int64_t fast_lookups_ = 0;
+
+  // Checkpoint record reuse (CheckpointBookkeeping): the previous call's
+  // output, the end offset of each cluster record in it, where the first
+  // record starts, and a changed-since flag per record it holds. Clusters past
+  // record_end_ are new since and always encoded.
+  std::string bookkeeping_cache_;
+  std::vector<size_t> record_end_;
+  size_t records_begin_ = 0;
+  std::vector<uint8_t> record_changed_;
 
   // Persistent backing (null when volatile). The store holds raw pointers to
   // both but never dereferences them in its destructor, so teardown order is

@@ -43,6 +43,7 @@ ShardedClusterer::ShardedClusterer(ShardedClustererOptions options)
   shard_items_.resize(options_.num_shards);
   merge_scanned_.resize(options_.num_shards, 0);
   merge_considered_.resize(options_.num_shards);
+  generations_.resize(options_.num_shards, 0);
 }
 
 size_t ShardedClusterer::ShardOf(common::ObjectId object) const {
@@ -462,14 +463,14 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
   FOCUS_CHECK(persistent());
   const size_t num_shards = options_.num_shards;
   // Step 1: commit every shard's arena (msync + header) and encode its
-  // bookkeeping. Shards are independent files and independent state, so with a
+  // bookkeeping (reusing the records unchanged since the last checkpoint).
+  // Shards are independent files and independent state, so with a
   // pool the commits fan out one task per shard; errors are collected into
   // per-shard slots and checked in ascending shard order, so the parallel and
   // inline paths return the same (first) error. Shard arenas may end up a
   // generation ahead of the meta if we crash below — recovery rolls each back
   // to the generation recorded here.
-  std::vector<uint64_t> generations(num_shards, 0);
-  std::vector<std::string> bookkeeping(num_shards);
+  std::vector<const std::string*> bookkeeping(num_shards, nullptr);
   std::vector<std::optional<common::Error>> commit_errors(num_shards);
   auto commit_shard = [&](size_t s) {
     auto generation = shards_[s]->CommitArena();
@@ -477,8 +478,8 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
       commit_errors[s] = generation.error();
       return;
     }
-    generations[s] = *generation;
-    bookkeeping[s] = shards_[s]->EncodeBookkeeping();
+    generations_[s] = *generation;
+    bookkeeping[s] = &shards_[s]->CheckpointBookkeeping();
   };
   const bool parallel = pool != nullptr && num_shards > 1;
   if (parallel) {
@@ -500,34 +501,9 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
   // Step 2: one meta snapshot for every shard's bookkeeping plus the merge
   // state; its atomic rename commits the whole multi-shard checkpoint at once.
   storage::Encoder enc;
-  enc.PutU32(kShardedMetaVersion);
-  enc.PutVarint(options_.num_shards);
-  enc.PutSignedVarint(options_.merge_interval);
-  enc.PutDouble(options_.merge_requeue_fraction);
-  enc.PutU32(options_.boundary_merge ? 1 : 0);
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    enc.PutU64(generations[s]);
-    enc.PutString(bookkeeping[s]);
-  }
-  enc.PutVarint(parent_.size());
-  for (int64_t p : parent_) {
-    enc.PutSignedVarint(p);
-  }
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    enc.PutVarint(merge_scanned_[s]);
-  }
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    enc.PutVarint(merge_considered_[s].size());
-    for (const MergeCandidate& candidate : merge_considered_[s]) {
-      enc.PutVarint(candidate.local_id);
-      EncodeFeatureVec(enc, candidate.snapshot);
-    }
-  }
-  enc.PutSignedVarint(assignments_since_merge_);
-  enc.PutSignedVarint(merges_folded_);
-  enc.PutSignedVarint(position);
-  enc.PutString(user_state);
-  enc.PutU32(storage::Crc32(enc.bytes()));
+  enc.Reserve(last_meta_size_ + last_meta_size_ / 8);
+  EncodeMetaTo(enc, bookkeeping, position, user_state);
+  last_meta_size_ = enc.size();
   if (auto wrote = storage::WriteFileAtomic(meta_path_, enc.bytes()); !wrote.ok()) {
     return wrote;
   }
@@ -536,7 +512,7 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
   // the rotation fans out like step 1.
   std::vector<std::optional<common::Error>> rotate_errors(num_shards);
   auto rotate_shard = [&](size_t s) {
-    if (auto rotated = shards_[s]->RotateUndoLog(generations[s]); !rotated.ok()) {
+    if (auto rotated = shards_[s]->RotateUndoLog(generations_[s]); !rotated.ok()) {
       rotate_errors[s] = rotated.error();
     }
   };
@@ -556,6 +532,51 @@ common::Result<bool> ShardedClusterer::Checkpoint(int64_t position,
     }
   }
   return true;
+}
+
+void ShardedClusterer::EncodeMetaTo(storage::Encoder& enc,
+                                    const std::vector<const std::string*>& bookkeeping,
+                                    int64_t position, std::string_view user_state) const {
+  enc.PutU32(kShardedMetaVersion);
+  enc.PutVarint(options_.num_shards);
+  enc.PutSignedVarint(options_.merge_interval);
+  enc.PutDouble(options_.merge_requeue_fraction);
+  enc.PutU32(options_.boundary_merge ? 1 : 0);
+  for (size_t s = 0; s < options_.num_shards; ++s) {
+    enc.PutU64(generations_[s]);
+    enc.PutString(*bookkeeping[s]);
+  }
+  enc.PutVarint(parent_.size());
+  for (int64_t p : parent_) {
+    enc.PutSignedVarint(p);
+  }
+  for (size_t s = 0; s < options_.num_shards; ++s) {
+    enc.PutVarint(merge_scanned_[s]);
+  }
+  for (size_t s = 0; s < options_.num_shards; ++s) {
+    enc.PutVarint(merge_considered_[s].size());
+    for (const MergeCandidate& candidate : merge_considered_[s]) {
+      enc.PutVarint(candidate.local_id);
+      enc.PutFloatVec(candidate.snapshot);
+    }
+  }
+  enc.PutSignedVarint(assignments_since_merge_);
+  enc.PutSignedVarint(merges_folded_);
+  enc.PutSignedVarint(position);
+  enc.PutString(user_state);
+  enc.PutU32(storage::Crc32(enc.bytes()));
+}
+
+std::string ShardedClusterer::EncodeMeta(int64_t position, std::string_view user_state) const {
+  std::vector<std::string> fresh(options_.num_shards);
+  std::vector<const std::string*> bookkeeping(options_.num_shards);
+  for (size_t s = 0; s < options_.num_shards; ++s) {
+    fresh[s] = shards_[s]->EncodeBookkeeping();
+    bookkeeping[s] = &fresh[s];
+  }
+  storage::Encoder enc;
+  EncodeMetaTo(enc, bookkeeping, position, user_state);
+  return enc.TakeBytes();
 }
 
 common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::string& dir) {
@@ -647,7 +668,7 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
     merge_considered[s].resize(static_cast<size_t>(count));
     for (MergeCandidate& candidate : merge_considered[s]) {
       uint64_t local = 0;
-      if (!dec.GetVarint(&local) || !DecodeFeatureVec(dec, &candidate.snapshot)) {
+      if (!dec.GetVarint(&local) || !dec.GetFloatVec(&candidate.snapshot)) {
         return corrupt();
       }
       candidate.local_id = static_cast<size_t>(local);
@@ -685,6 +706,7 @@ common::Result<ClustererRecovery> ShardedClusterer::OpenOrRecover(const std::str
     }
   }
   parent_ = std::move(parent);
+  generations_ = std::move(generations);
   merge_scanned_ = std::move(merge_scanned);
   merge_considered_ = std::move(merge_considered);
   assignments_since_merge_ = assignments_since_merge;

@@ -53,6 +53,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cluster/incremental_clusterer.h"
@@ -62,6 +64,10 @@
 namespace focus::runtime {
 class WorkerPool;
 }  // namespace focus::runtime
+
+namespace focus::storage {
+class Encoder;
+}  // namespace focus::storage
 
 namespace focus::cluster {
 
@@ -182,6 +188,14 @@ class ShardedClusterer {
   common::Result<bool> Checkpoint(int64_t position, std::string_view user_state = {},
                                   runtime::WorkerPool* pool = nullptr);
 
+  // The sharded.meta bytes of the current state under the generations of the
+  // last checkpoint (or recovery), with every shard's records encoded afresh.
+  // Right after Checkpoint(position, user_state), equals what it wrote: the
+  // checkpoint reuses unchanged records' bytes (see
+  // IncrementalClusterer::CheckpointBookkeeping), and tests check that the
+  // reuse never changes a byte.
+  std::string EncodeMeta(int64_t position, std::string_view user_state) const;
+
   bool persistent() const { return !meta_path_.empty(); }
 
   // Canonical id of |global_id| under the merges performed so far.
@@ -216,6 +230,9 @@ class ShardedClusterer {
   // produce identical edges for the same (cluster, position).
   void QueryAgainstShards(size_t s, int64_t local_id, const common::FeatureVec& centroid,
                           float threshold_sq, bool lower_only);
+  // The meta snapshot around each shard's |bookkeeping| blob, CRC included.
+  void EncodeMetaTo(storage::Encoder& enc, const std::vector<const std::string*>& bookkeeping,
+                    int64_t position, std::string_view user_state) const;
 
   ShardedClustererOptions options_;
   std::vector<std::unique_ptr<IncrementalClusterer>> shards_;
@@ -241,6 +258,11 @@ class ShardedClusterer {
   // Persistence (empty when volatile).
   std::string persist_dir_;
   std::string meta_path_;
+  // Per shard: arena generation of the last checkpoint (attempt) or recovery,
+  // as the meta records it.
+  std::vector<uint64_t> generations_;
+  // Size of the last meta written; the next encode reserves from it.
+  size_t last_meta_size_ = 0;
 };
 
 }  // namespace focus::cluster

@@ -28,7 +28,9 @@ common::Result<std::unique_ptr<FocusStream>> FocusStream::Build(
   FOCUS_LOG(kInfo) << "focus[" << run->profile().name << "]: chose model "
                    << params.model.name << " K=" << params.k
                    << " T=" << params.cluster_threshold << " ("
-                   << PolicyName(options.policy) << ")";
+                   << (focus->tuning_.fallback.empty() ? PolicyName(options.policy)
+                                                       : focus->tuning_.fallback)
+                   << ")";
 
   focus->ingest_cnn_ = std::make_unique<cnn::Cnn>(params.model, catalog);
   focus->ingest_ = RunIngest(*run, *focus->ingest_cnn_, params, options.ingest);

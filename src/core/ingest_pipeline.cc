@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/cluster/cluster_codec.h"
 #include "src/cluster/sharded_clusterer.h"
 #include "src/common/logging.h"
 #include "src/runtime/worker_pool.h"
@@ -183,7 +182,7 @@ struct PipelineState {
     enc.PutVarint(last_feature->size());
     for (const auto& [object, feature] : *last_feature) {
       enc.PutSignedVarint(object);
-      cluster::EncodeFeatureVec(enc, feature);
+      enc.PutFloatVec(feature);
     }
     enc.PutVarint(last_seen->size());
     for (const auto& [object, frame] : *last_seen) {
@@ -237,7 +236,7 @@ struct PipelineState {
     for (uint64_t i = 0; i < num_features; ++i) {
       int64_t object = 0;
       common::FeatureVec feature;
-      if (!dec.GetSignedVarint(&object) || !cluster::DecodeFeatureVec(dec, &feature)) {
+      if (!dec.GetSignedVarint(&object) || !dec.GetFloatVec(&feature)) {
         return false;
       }
       last_feature->emplace(object, std::move(feature));
@@ -831,6 +830,9 @@ common::Result<IngestResult> RunIngestResumableChecked(const video::StreamRun& r
         failure = checkpointed.error();
         return;
       }
+      if (options.checkpoint_observer) {
+        options.checkpoint_observer(clusterer, frame + 1, encoded);
+      }
       frames_since_checkpoint = 0;
     }
   });
@@ -862,6 +864,9 @@ common::Result<IngestResult> RunIngestResumableChecked(const video::StreamRun& r
   });
   if (!sealed.ok()) {
     return sealed.error();
+  }
+  if (options.checkpoint_observer) {
+    options.checkpoint_observer(clusterer, limit_frame, sealed_state);
   }
 
   std::vector<cluster::Cluster> canonical = clusterer.FinalizeClusters();

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/cluster/incremental_clusterer.h"
 #include "src/cnn/cnn.h"
@@ -22,6 +23,10 @@
 #include "src/index/topk_index.h"
 #include "src/storage/fsync_policy.h"
 #include "src/video/stream_generator.h"
+
+namespace focus::cluster {
+class ShardedClusterer;
+}  // namespace focus::cluster
 
 namespace focus::runtime {
 class WorkerPool;
@@ -138,6 +143,13 @@ struct IngestOptions {
   // final checkpoint, exactly like an ingest worker crash. The returned
   // result carries the partial counters only.
   int64_t crash_after_frames = -1;
+  // Test hook: called on the ingest thread after every committed checkpoint
+  // of the persistent run (periodic and end-of-stream seal) with the
+  // clusterer and the cursor and pipeline blob just committed, e.g. to check
+  // the written meta against ShardedClusterer::EncodeMeta.
+  std::function<void(const cluster::ShardedClusterer&, int64_t position,
+                     std::string_view user_state)>
+      checkpoint_observer;
   // Retry policy for checkpoint commits (including the end-of-stream seal) on
   // the persistent path: a transiently failing msync/rename is retried with
   // virtual-time backoff before the attempt is abandoned to the supervisor.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 
+#include "src/cnn/cost_model.h"
 #include "src/cnn/model_zoo.h"
 #include "src/common/logging.h"
 #include "src/runtime/worker_pool.h"
@@ -159,9 +160,33 @@ TuningResult SelectFromEvaluated(std::vector<EvaluatedConfig> evaluated,
   return result;
 }
 
+IngestParams QuietCameraFallbackParams(uint64_t world_seed) {
+  const std::vector<cnn::ModelDesc> candidates = cnn::GenericCheapCandidates(world_seed);
+  IngestParams params;  // Default K and T.
+  params.model = *std::min_element(candidates.begin(), candidates.end(),
+                                   [](const cnn::ModelDesc& a, const cnn::ModelDesc& b) {
+                                     return cnn::InferenceCostMillis(a) <
+                                            cnn::InferenceCostMillis(b);
+                                   });
+  return params;
+}
+
 TuningResult ParameterTuner::Tune(const video::StreamRun& run, double stream_variability,
                                   const AccuracyTarget& target, Policy policy) const {
-  return SelectFromEvaluated(EvaluateGrid(run, stream_variability), target, policy);
+  std::vector<EvaluatedConfig> evaluated = EvaluateGrid(run, stream_variability);
+  if (evaluated.empty()) {
+    FOCUS_LOG(kWarning) << "tuner: no grid to measure on the sample of " << run.profile().name
+                        << "; indexing with the " << kQuietCameraFallback
+                        << " fallback configuration";
+    TuningResult result;
+    EvaluatedConfig fallback;
+    fallback.params = QuietCameraFallbackParams(catalog_->world_seed());
+    result.evaluated.push_back(std::move(fallback));
+    result.found = true;
+    result.fallback = kQuietCameraFallback;
+    return result;
+  }
+  return SelectFromEvaluated(std::move(evaluated), target, policy);
 }
 
 std::vector<EvaluatedConfig> ParameterTuner::EvaluateGrid(const video::StreamRun& run,

@@ -44,9 +44,19 @@ struct TuningResult {
   std::vector<size_t> pareto_indices;       // Pareto boundary of the viable set.
   size_t chosen_index = 0;                  // Selected per policy.
   bool found = false;
+  // Name of the fixed configuration used instead of a tuned one
+  // (kQuietCameraFallback), or empty when the grid picked the configuration.
+  std::string fallback;
 
   const EvaluatedConfig& chosen() const { return evaluated[chosen_index]; }
 };
+
+// A quiet camera's tuning sample holds no detections, so there is no grid to
+// measure. Rather than refuse the stream, Tune() indexes it with this fixed
+// configuration: the cheapest generic candidate model at the default K and T.
+// The result's single EvaluatedConfig carries no measured accuracy.
+inline constexpr char kQuietCameraFallback[] = "quiet-camera";
+IngestParams QuietCameraFallbackParams(uint64_t world_seed);
 
 struct TunerOptions {
   // Length of the sample window, seconds.
@@ -74,6 +84,8 @@ class ParameterTuner {
 
   // Tunes on the first |options.sample_sec| seconds of |run|. |stream_variability| is
   // the stream's appearance constraint (profile value) that specialization inherits.
+  // An empty grid (a sample without detections) yields the kQuietCameraFallback
+  // configuration, found and marked in TuningResult::fallback.
   TuningResult Tune(const video::StreamRun& run, double stream_variability,
                     const AccuracyTarget& target, Policy policy) const;
 

@@ -101,6 +101,23 @@ bool DecodeCluster(const std::string& data, ClusterEntry* e) {
          r.ReadArray(&e->topk_classes) && r.ReadArray(&e->topk_ranks);
 }
 
+bool EntryValuesFit(const ClusterEntry& e) {
+  if (!RepresentativeClassFits(e.representative.true_class)) {
+    return false;
+  }
+  for (common::ClassId cls : e.topk_classes) {
+    if (!IndexedClassFits(cls)) {
+      return false;
+    }
+  }
+  for (int32_t rank : e.topk_ranks) {
+    if (!RankFits(rank)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string ClusterKey(const std::string& prefix, int64_t id) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "/c/%012lld", static_cast<long long>(id));
@@ -170,6 +187,10 @@ common::Result<bool> TopKIndex::LoadFrom(const KvStore& store, const std::string
     ClusterEntry e;
     if (!DecodeCluster(*blob, &e)) {
       return common::IoError("corrupt cluster blob " + std::to_string(i));
+    }
+    if (!EntryValuesFit(e)) {
+      return common::OutOfRange("cluster blob " + std::to_string(i) +
+                                ": class or rank out of range");
     }
     AddCluster(std::move(e));
   }

@@ -14,11 +14,13 @@
 #define FOCUS_SRC_INDEX_TOPK_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/cluster/incremental_clusterer.h"
+#include "src/cnn/model_desc.h"
 #include "src/common/result.h"
 #include "src/common/time_types.h"
 #include "src/index/kv_store.h"
@@ -61,6 +63,19 @@ struct ClusterEntry {
   }
 };
 
+// Value ranges a decoded ClusterEntry must respect. Decoders check the wire
+// value (before narrowing it to the field's type) and reject anything outside:
+// a representative's ground-truth class is a catalog class or kInvalidClass;
+// an indexed class is a model output label, generic or OTHER; a rank is
+// 1-based.
+constexpr bool RepresentativeClassFits(int64_t cls) {
+  return cls >= common::kInvalidClass && cls < video::kNumClasses;
+}
+constexpr bool IndexedClassFits(int64_t cls) { return cls >= 0 && cls <= cnn::kOtherClass; }
+constexpr bool RankFits(int64_t rank) {
+  return rank >= 1 && rank <= std::numeric_limits<int32_t>::max();
+}
+
 class TopKIndex {
  public:
   TopKIndex() = default;
@@ -90,6 +105,8 @@ class TopKIndex {
   int64_t total_indexed_detections() const { return total_detections_; }
 
   // --- Persistence (MongoDB-equivalent storage, §5) ---
+  // LoadFrom fails with kOutOfRange on a class or rank outside the ranges
+  // above, and with kIo on a missing or malformed blob.
   common::Result<bool> SaveTo(KvStore& store, const std::string& prefix) const;
   common::Result<bool> LoadFrom(const KvStore& store, const std::string& prefix);
 

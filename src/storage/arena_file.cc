@@ -108,10 +108,7 @@ std::string ArenaUndo::Encode() const {
   enc.PutSignedVarint(id);
   enc.PutSignedVarint(size);
   enc.PutFloat(norm);
-  enc.PutVarint(centroid.size());
-  for (float v : centroid) {
-    enc.PutFloat(v);
-  }
+  enc.PutFloatVec(centroid);
   return enc.TakeBytes();
 }
 
@@ -129,21 +126,9 @@ bool ArenaUndo::Decode(std::string_view bytes, ArenaUndo* out) {
     return false;
   }
   out->kind = Kind::kRow;
-  uint64_t dim = 0;
-  // Divide instead of multiplying: dim * sizeof(float) can wrap for a corrupt
-  // length, and the guard exists precisely to reject those before resize.
-  if (!dec.GetU64(&out->row) || !dec.GetSignedVarint(&out->id) ||
-      !dec.GetSignedVarint(&out->size) || !dec.GetFloat(&out->norm) ||
-      !dec.GetVarint(&dim) || dim > dec.remaining() / sizeof(float)) {
-    return false;
-  }
-  out->centroid.resize(static_cast<size_t>(dim));
-  for (size_t i = 0; i < out->centroid.size(); ++i) {
-    if (!dec.GetFloat(&out->centroid[i])) {
-      return false;
-    }
-  }
-  return dec.Done();
+  return dec.GetU64(&out->row) && dec.GetSignedVarint(&out->id) &&
+         dec.GetSignedVarint(&out->size) && dec.GetFloat(&out->norm) &&
+         dec.GetFloatVec(&out->centroid) && dec.Done();
 }
 
 common::Result<std::unique_ptr<ArenaFile>> ArenaFile::Open(const std::string& path) {

@@ -21,27 +21,26 @@ void PutDetection(Encoder& enc, const video::Detection& d) {
   enc.PutU8(d.pixel_diff_suppressed ? 1 : 0);
   enc.PutU8(d.first_observation ? 1 : 0);
   enc.PutSignedVarint(d.true_class);
-  enc.PutVarint(d.appearance.size());
-  for (float f : d.appearance) {
-    enc.PutFloat(f);
-  }
+  enc.PutFloatVec(d.appearance);
 }
 
-bool GetDetection(Decoder& dec, video::Detection* d) {
+// Decoders below return false on malformed bytes; a well-formed value that
+// does not fit its field sets |*range_error| as well, so the caller can report
+// it as kOutOfRange instead of silently truncating it.
+bool GetDetection(Decoder& dec, video::Detection* d, std::string* range_error) {
   int64_t frame = 0;
   int64_t object_id = 0;
   uint8_t suppressed = 0;
   uint8_t first = 0;
   int64_t true_class = 0;
-  uint64_t dim = 0;
   if (!dec.GetSignedVarint(&frame) || !dec.GetSignedVarint(&object_id) ||
       !dec.GetFloat(&d->bbox.x) || !dec.GetFloat(&d->bbox.y) || !dec.GetFloat(&d->bbox.w) ||
       !dec.GetFloat(&d->bbox.h) || !dec.GetU8(&suppressed) || !dec.GetU8(&first) ||
-      !dec.GetSignedVarint(&true_class) || !dec.GetVarint(&dim)) {
+      !dec.GetSignedVarint(&true_class)) {
     return false;
   }
-  // Each float is 4 bytes; reject counts the payload cannot contain.
-  if (dim > dec.remaining() / 4) {
+  if (!index::RepresentativeClassFits(true_class)) {
+    *range_error = "representative class " + std::to_string(true_class) + " out of range";
     return false;
   }
   d->frame = frame;
@@ -49,13 +48,7 @@ bool GetDetection(Decoder& dec, video::Detection* d) {
   d->pixel_diff_suppressed = suppressed != 0;
   d->first_observation = first != 0;
   d->true_class = static_cast<common::ClassId>(true_class);
-  d->appearance.resize(static_cast<size_t>(dim));
-  for (size_t i = 0; i < d->appearance.size(); ++i) {
-    if (!dec.GetFloat(&d->appearance[i])) {
-      return false;
-    }
-  }
-  return true;
+  return dec.GetFloatVec(&d->appearance);
 }
 
 void PutCluster(Encoder& enc, const index::ClusterEntry& c) {
@@ -72,11 +65,11 @@ void PutCluster(Encoder& enc, const index::ClusterEntry& c) {
   enc.PutVector(c.topk_ranks, [](Encoder& e, int32_t rank) { e.PutSignedVarint(rank); });
 }
 
-bool GetCluster(Decoder& dec, index::ClusterEntry* c) {
+bool GetCluster(Decoder& dec, index::ClusterEntry* c, std::string* range_error) {
   int64_t cluster_id = 0;
   int64_t size = 0;
   if (!dec.GetSignedVarint(&cluster_id) || !dec.GetSignedVarint(&size) ||
-      !GetDetection(dec, &c->representative)) {
+      !GetDetection(dec, &c->representative, range_error)) {
     return false;
   }
   c->cluster_id = cluster_id;
@@ -85,17 +78,25 @@ bool GetCluster(Decoder& dec, index::ClusterEntry* c) {
     return d.GetSignedVarint(&m->object) && d.GetSignedVarint(&m->first_frame) &&
            d.GetSignedVarint(&m->last_frame);
   });
-  ok = ok && dec.GetVector(&c->topk_classes, [](Decoder& d, common::ClassId* cls) {
+  ok = ok && dec.GetVector(&c->topk_classes, [range_error](Decoder& d, common::ClassId* cls) {
     int64_t v = 0;
     if (!d.GetSignedVarint(&v)) {
+      return false;
+    }
+    if (!index::IndexedClassFits(v)) {
+      *range_error = "indexed class " + std::to_string(v) + " out of range";
       return false;
     }
     *cls = static_cast<common::ClassId>(v);
     return true;
   });
-  ok = ok && dec.GetVector(&c->topk_ranks, [](Decoder& d, int32_t* rank) {
+  ok = ok && dec.GetVector(&c->topk_ranks, [range_error](Decoder& d, int32_t* rank) {
     int64_t v = 0;
     if (!d.GetSignedVarint(&v)) {
+      return false;
+    }
+    if (!index::RankFits(v)) {
+      *range_error = "rank " + std::to_string(v) + " out of range";
       return false;
     }
     *rank = static_cast<int32_t>(v);
@@ -208,8 +209,14 @@ common::Result<bool> DecodeIndexSnapshot(const std::string& blob, IndexSnapshotH
   h.k = static_cast<int32_t>(k);
 
   std::vector<index::ClusterEntry> clusters;
-  if (!dec.GetVector(&clusters,
-                     [](Decoder& d, index::ClusterEntry* c) { return GetCluster(d, c); })) {
+  std::string range_error;
+  if (!dec.GetVector(&clusters, [&range_error](Decoder& d, index::ClusterEntry* c) {
+        return GetCluster(d, c, &range_error);
+      })) {
+    if (!range_error.empty()) {
+      return common::OutOfRange("index snapshot: cluster record " +
+                                std::to_string(clusters.size()) + ": " + range_error);
+    }
     return FormatError("malformed cluster record at offset " + std::to_string(dec.offset()));
   }
   if (!dec.Done()) {

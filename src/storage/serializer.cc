@@ -6,78 +6,60 @@ namespace focus::storage {
 
 namespace {
 
-// Table-driven CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static bool initialized = [] {
+// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320. Row 0 is
+// the classic bytewise table; row k advances a byte through k further zero
+// bytes, so eight input bytes fold into the CRC with eight independent lookups
+// instead of a serial chain of eight.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables out{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) != 0 ? 0xEDB88320u : 0u);
       }
-      table[i] = crc;
+      out.t[0][i] = crc;
     }
-    return true;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = out.t[k - 1][i];
+        out.t[k][i] = (prev >> 8) ^ out.t[0][prev & 0xFF];
+      }
+    }
+    return out;
   }();
-  (void)initialized;
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = Tables().t;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = ~seed;
-  for (char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(c)) & 0xFF];
+  while (n >= 8) {
+    // Little-endian loads (the header pins the host): the low word's bytes are
+    // the next four input bytes in order, so XOR-ing the CRC into it is the
+    // bytewise update's (crc ^ byte) for all four at once.
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    p += 8;
+    n -= 8;
+  }
+  while (n-- > 0) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFF];
   }
   return ~crc;
-}
-
-void Encoder::PutU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-
-void Encoder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void Encoder::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void Encoder::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  bytes_.push_back(static_cast<char>(v));
-}
-
-void Encoder::PutSignedVarint(int64_t v) {
-  // ZigZag: small magnitudes of either sign stay short.
-  PutVarint((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
-}
-
-void Encoder::PutDouble(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void Encoder::PutFloat(float v) {
-  uint32_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU32(bits);
-}
-
-void Encoder::PutString(std::string_view s) {
-  PutVarint(s.size());
-  bytes_.append(s.data(), s.size());
 }
 
 bool Decoder::Take(size_t n, const char** out) {
@@ -166,6 +148,24 @@ bool Decoder::GetFloat(float* v) {
     return false;
   }
   std::memcpy(v, &bits, sizeof(bits));
+  return true;
+}
+
+bool Decoder::GetFloatVec(std::vector<float>* v) {
+  uint64_t n = 0;
+  // Divide instead of multiplying: n * sizeof(float) can wrap for a corrupt
+  // length, and the guard exists precisely to reject those before resize.
+  if (!GetVarint(&n) || n > remaining() / sizeof(float)) {
+    return false;
+  }
+  const char* p = nullptr;
+  if (!Take(static_cast<size_t>(n) * sizeof(float), &p)) {
+    return false;
+  }
+  v->resize(static_cast<size_t>(n));
+  if (n > 0) {
+    std::memcpy(v->data(), p, static_cast<size_t>(n) * sizeof(float));
+  }
   return true;
 }
 

@@ -3,13 +3,19 @@
 //   * random corruptions are always detected (CRC) and never crash the decoder;
 //   * completely random bytes never decode successfully and never crash;
 //   * random record-log truncations recover exactly the fully-written prefix;
-//   * serializer primitives round-trip under randomized interleavings.
+//   * serializer primitives round-trip under randomized interleavings;
+//   * crafted snapshots whose classes or ranks do not fit their fields fail
+//     with kOutOfRange instead of loading truncated values.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/cnn/model_desc.h"
 #include "src/common/rng.h"
+#include "src/index/kv_store.h"
 #include "src/index/topk_index.h"
 #include "src/storage/index_codec.h"
 #include "src/storage/serializer.h"
@@ -266,6 +272,142 @@ TEST_P(CodecRoundTripProperty, SerializerInterleavingsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTripProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// A one-cluster snapshot written field by field in the documented layout, so
+// its class and rank fields can hold values no in-memory ClusterEntry can.
+std::string CraftSnapshot(int64_t representative_class, int64_t indexed_class, int64_t rank) {
+  Encoder enc;
+  for (char c : {'F', 'I', 'D', 'X'}) {
+    enc.PutU8(static_cast<uint8_t>(c));
+  }
+  enc.PutU32(kIndexCodecVersion);
+  enc.PutString("crafted");  // stream name
+  enc.PutString("cheap");    // model name
+  enc.PutSignedVarint(4);    // k
+  enc.PutDouble(0.5);        // cluster threshold
+  enc.PutU64(42);            // world seed
+  enc.PutDouble(30.0);       // fps
+  // Model desc: name, layers, input px, classes, has_other, variability, seed.
+  enc.PutString("cheap");
+  enc.PutSignedVarint(8);
+  enc.PutSignedVarint(56);
+  enc.PutVarint(0);
+  enc.PutU8(0);
+  enc.PutDouble(0.1);
+  enc.PutU64(7);
+  // One cluster: id, size, representative, members, classes, ranks.
+  enc.PutVarint(1);
+  enc.PutSignedVarint(0);
+  enc.PutSignedVarint(1);
+  enc.PutSignedVarint(10);  // frame
+  enc.PutSignedVarint(3);   // object
+  for (float f : {1.0f, 2.0f, 3.0f, 4.0f}) {
+    enc.PutFloat(f);
+  }
+  enc.PutU8(0);
+  enc.PutU8(1);
+  enc.PutSignedVarint(representative_class);
+  enc.PutFloatVec(std::vector<float>{0.25f, -0.5f});
+  enc.PutVarint(1);
+  enc.PutSignedVarint(3);
+  enc.PutSignedVarint(10);
+  enc.PutSignedVarint(12);
+  enc.PutVarint(1);
+  enc.PutSignedVarint(indexed_class);
+  enc.PutVarint(1);
+  enc.PutSignedVarint(rank);
+  const uint32_t crc = Crc32(enc.bytes());
+  enc.PutU32(crc);
+  return enc.TakeBytes();
+}
+
+common::Result<bool> DecodeCrafted(const std::string& blob, index::TopKIndex* out) {
+  IndexSnapshotHeader header;
+  return DecodeIndexSnapshot(blob, &header, out);
+}
+
+TEST(CraftedSnapshotTest, ValuesAtTheRangeEdgesDecode) {
+  const int64_t kMaxRank = std::numeric_limits<int32_t>::max();
+  for (int64_t rep : {int64_t{common::kInvalidClass}, int64_t{0}, int64_t{video::kNumClasses - 1}}) {
+    for (int64_t cls : {int64_t{0}, int64_t{cnn::kOtherClass}}) {
+      for (int64_t rank : {int64_t{1}, kMaxRank}) {
+        index::TopKIndex decoded;
+        auto result = DecodeCrafted(CraftSnapshot(rep, cls, rank), &decoded);
+        ASSERT_TRUE(result.ok()) << result.error().message;
+        ASSERT_EQ(decoded.num_clusters(), 1u);
+        const index::ClusterEntry& e = decoded.clusters()[0];
+        EXPECT_EQ(e.representative.true_class, rep);
+        EXPECT_EQ(e.topk_classes, std::vector<common::ClassId>{static_cast<common::ClassId>(cls)});
+        EXPECT_EQ(e.topk_ranks, std::vector<int32_t>{static_cast<int32_t>(rank)});
+      }
+    }
+  }
+}
+
+TEST(CraftedSnapshotTest, OutOfRangeValuesAreTypedErrorsNotTruncations) {
+  const int64_t kWraps = (int64_t{1} << 32) + 5;  // Truncates to 5 as an int32.
+  struct Case {
+    int64_t rep;
+    int64_t cls;
+    int64_t rank;
+  };
+  const Case cases[] = {
+      {kWraps, 5, 1},
+      {-2, 5, 1},
+      {video::kNumClasses, 5, 1},
+      {std::numeric_limits<int64_t>::min(), 5, 1},
+      {5, kWraps, 1},
+      {5, -1, 1},
+      {5, cnn::kOtherClass + 1, 1},
+      {5, std::numeric_limits<int64_t>::max(), 1},
+      {5, 5, 0},
+      {5, 5, -1},
+      {5, 5, int64_t{std::numeric_limits<int32_t>::max()} + 1},
+      {5, 5, kWraps - 4},  // 2^32 + 1 truncates to rank 1.
+  };
+  for (const Case& c : cases) {
+    index::TopKIndex decoded;
+    auto result = DecodeCrafted(CraftSnapshot(c.rep, c.cls, c.rank), &decoded);
+    ASSERT_FALSE(result.ok()) << "rep " << c.rep << " class " << c.cls << " rank " << c.rank;
+    EXPECT_EQ(result.error().code, common::ErrorCode::kOutOfRange) << result.error().message;
+    EXPECT_EQ(decoded.num_clusters(), 0u);
+  }
+}
+
+TEST(CraftedSnapshotTest, KvStoreLoadRejectsOutOfRangeClassesAndRanks) {
+  auto entry = [] {
+    index::ClusterEntry e;
+    e.size = 1;
+    e.representative.true_class = 5;
+    e.members.push_back({3, 10, 12});
+    e.topk_classes = {5};
+    e.topk_ranks = {1};
+    return e;
+  };
+  {
+    index::TopKIndex ok_index;
+    ok_index.AddCluster(entry());
+    index::KvStore store;
+    ASSERT_TRUE(ok_index.SaveTo(store, "ok").ok());
+    index::TopKIndex loaded;
+    EXPECT_TRUE(loaded.LoadFrom(store, "ok").ok());
+  }
+  std::vector<index::ClusterEntry> bad(4, entry());
+  bad[0].representative.true_class = video::kNumClasses;
+  bad[1].topk_classes = {-7};
+  bad[2].topk_classes = {cnn::kOtherClass + 1};
+  bad[3].topk_ranks = {0};
+  for (size_t i = 0; i < bad.size(); ++i) {
+    index::TopKIndex idx;
+    idx.AddCluster(bad[i]);
+    index::KvStore store;
+    ASSERT_TRUE(idx.SaveTo(store, "bad").ok());
+    index::TopKIndex loaded;
+    auto result = loaded.LoadFrom(store, "bad");
+    ASSERT_FALSE(result.ok()) << "case " << i;
+    EXPECT_EQ(result.error().code, common::ErrorCode::kOutOfRange) << "case " << i;
+  }
+}
 
 }  // namespace
 }  // namespace focus::storage

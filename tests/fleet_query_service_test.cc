@@ -69,21 +69,28 @@ class FleetQueryServiceTest : public ::testing::Test {
     fleet_ = new core::FocusFleet();
     core::FocusOptions options;
     // Deterministic fill: cycle (profile, seed) combos, skipping the rare
-    // short-sample combos the tuner rejects, until the fleet holds 32 cameras.
+    // combos whose tuning sample holds no detections (they would index with
+    // the quiet-camera fallback and answer nothing), until the fleet holds 32
+    // cameras.
     int added = 0;
     for (int attempt = 0; added < kNumCameras && attempt < 4 * kNumCameras; ++attempt) {
       video::StreamProfile profile;
       ASSERT_TRUE(
           video::FindProfile(kProfiles[attempt % std::size(kProfiles)], &profile));
+      auto run = std::make_unique<video::StreamRun>(catalog_, profile, kDurationSec, kFps,
+                                                    1000 + static_cast<uint64_t>(attempt));
+      auto stream = core::FocusStream::Build(run.get(), catalog_, options);
+      if (!stream.ok() || !(*stream)->tuning().fallback.empty()) {
+        continue;
+      }
       core::CameraMeta meta;
       meta.region = added < kNumCameras / 2 ? "east" : "west";
       if (added % 8 == 0) meta.tags.push_back("hub");
-      if (fleet_
-              ->AddCamera(CameraName(added), catalog_, profile, kDurationSec, kFps,
-                          1000 + static_cast<uint64_t>(attempt), options, meta)
-              .ok()) {
-        ++added;
-      }
+      ASSERT_TRUE(fleet_
+                      ->AdoptCamera(CameraName(added), std::move(run), std::move(*stream),
+                                    meta)
+                      .ok());
+      ++added;
     }
     ASSERT_EQ(added, kNumCameras);
     // The fleet-wide investigation class: among the dominant GT classes of the

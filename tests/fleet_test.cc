@@ -60,6 +60,40 @@ FocusFleet* FleetTest::fleet_ = nullptr;
 cnn::SegmentGroundTruth* FleetTest::truth_ = nullptr;
 common::ClassId FleetTest::dominant_class_ = common::kInvalidClass;
 
+// A quiet camera has no detections in its tuning sample, so there is no
+// grid to measure: it is indexed with the fixed fallback configuration
+// instead of being refused, and answers every query with nothing, for free.
+TEST(QuietCameraTest, BuildsWithTheFallbackAndAnswersEmpty) {
+  video::ClassCatalog catalog(11);
+  video::StreamProfile profile;
+  ASSERT_TRUE(video::FindProfile("church_st", &profile));
+  profile.peak_arrival_rate_per_sec = 0.0;
+  FocusOptions options;
+  options.tuner.sample_sec = 30.0;
+
+  video::StreamRun run(&catalog, profile, 60.0, kFps, 7);
+  auto built = FocusStream::Build(&run, &catalog, options);
+  ASSERT_TRUE(built.ok()) << built.error().message;
+  const TuningResult& tuning = (*built)->tuning();
+  EXPECT_TRUE(tuning.found);
+  EXPECT_EQ(tuning.fallback, kQuietCameraFallback);
+  EXPECT_EQ(tuning.chosen().params.model.name,
+            QuietCameraFallbackParams(catalog.world_seed()).model.name);
+  for (common::ClassId cls : {0, 7, 42}) {
+    const QueryResult r = (*built)->Query(cls);
+    EXPECT_EQ(r.frames_returned, 0);
+    EXPECT_TRUE(r.frame_runs.empty());
+    EXPECT_EQ(r.gpu_millis, 0.0);
+  }
+
+  FocusFleet fleet;
+  ASSERT_TRUE(fleet.AddCamera("quiet", &catalog, profile, 60.0, kFps, 7, options).ok());
+  auto answer = fleet.Query(7);
+  ASSERT_TRUE(answer.ok()) << answer.error().message;
+  EXPECT_EQ(answer->total_frames, 0);
+  EXPECT_EQ(answer->total_gpu_millis, 0.0);
+}
+
 TEST_F(FleetTest, RegistrationOrderAndLookup) {
   EXPECT_EQ(fleet_->size(), 2u);
   EXPECT_EQ(fleet_->CameraNames(), (std::vector<std::string>{"north", "south"}));

@@ -12,9 +12,13 @@
 #                      isolation — docs/shm_serving.md), and `ctest -L proc`
 #                      (supervised multi-process serving: worker RPC framing,
 #                      restart budgets, sibling-retry identity, seeded
-#                      kill/hang/torn-frame storms) in a FOCUS_SANITIZE=address
-#                      build, so every injected failure path and every
-#                      mapped-memory path also runs leak- and overflow-checked.
+#                      kill/hang/torn-frame storms), and `ctest -L codec` (the
+#                      byte formats: CRC and encoder fast paths against
+#                      bytewise references, hardened index decoders on crafted
+#                      blobs, checkpoint record reuse) in a
+#                      FOCUS_SANITIZE=address build, so every injected failure
+#                      path, every mapped-memory path and every pointer-
+#                      arithmetic fast path also runs leak- and overflow-checked.
 #   3. tsan gate     - the background-publication stress test
 #                      (readers on SnapshotSlot::Latest() + queries racing
 #                      builder-thread publishes and parallel checkpoint
@@ -50,17 +54,19 @@ ctest --test-dir "$BUILD_DIR" -L fleet --output-on-failure
 if [ "${FOCUS_SKIP_ASAN:-0}" = "1" ]; then
   echo "== gate 2/4: SKIPPED (FOCUS_SKIP_ASAN=1) =="
 else
-  echo "== gate 2/4: chaos + shm + proc suites under AddressSanitizer =="
+  echo "== gate 2/4: chaos + shm + proc + codec suites under AddressSanitizer =="
   cmake -S "$REPO_DIR" -B "$ASAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFOCUS_SANITIZE=address
-  # Only the fault-, shm-, and proc-labeled suites are needed; build just
-  # their targets.
+  # Only the fault-, shm-, proc- and codec-labeled suites are needed; build
+  # just their targets.
   cmake --build "$ASAN_DIR" -j"$JOBS" \
     --target fault_injection_test chaos_ingest_test flaky_stream_test \
-    shm_serving_test worker_process_pool_test proc_serving_chaos_test
+    shm_serving_test worker_process_pool_test proc_serving_chaos_test \
+    codec_property_test serializer_test checkpoint_reuse_test
   ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L shm --output-on-failure
   ctest --test-dir "$ASAN_DIR" -L proc --output-on-failure
+  ctest --test-dir "$ASAN_DIR" -L codec --output-on-failure
 fi
 
 if [ "${FOCUS_SKIP_TSAN:-0}" = "1" ]; then
